@@ -27,10 +27,10 @@ type fakeWorld struct {
 
 func (w *fakeWorld) estimator() *Estimator {
 	return &Estimator{
-		Dist: distance.EMD,
-		Base: w.base,
-		Hypothetical: func(h Hypothesis) *vis.Data {
-			return w.after[h.Kind]
+		Dist:  distance.EMD,
+		Bases: []*vis.Data{w.base},
+		Hypothetical: func(h Hypothesis) []*vis.Data {
+			return []*vis.Data{w.after[h.Kind]}
 		},
 	}
 }
@@ -93,11 +93,41 @@ func TestMAndOBenefitAreUnweighted(t *testing.T) {
 func TestNilHypotheticalPricesZero(t *testing.T) {
 	e := &Estimator{
 		Dist:         distance.EMD,
-		Base:         chart(1, 2),
-		Hypothetical: func(Hypothesis) *vis.Data { return nil },
+		Bases:        []*vis.Data{chart(1, 2)},
+		Hypothetical: func(Hypothesis) []*vis.Data { return nil },
 	}
 	if got := e.TBenefit(em.MakePair(1, 2), 0.5); got != 0 {
 		t.Fatalf("nil hypothetical priced %v", got)
+	}
+}
+
+// TestViewSumStartsAtFirstTerm: a one-view price is exactly the view's
+// distance, sign bit included (0.0 + −0.0 would be +0.0), and a nil
+// chart drops only its own view's term.
+func TestViewSumStartsAtFirstTerm(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	one := &Estimator{
+		Dist:         func(a, b *vis.Data) float64 { return negZero },
+		Bases:        []*vis.Data{chart(1)},
+		Hypothetical: func(Hypothesis) []*vis.Data { return []*vis.Data{chart(2)} },
+	}
+	if got := one.MBenefit(1, 0); math.Float64bits(got) != math.Float64bits(negZero) {
+		t.Fatalf("one-view price %v (bits %x), want -0", got, math.Float64bits(got))
+	}
+
+	base0, base1 := chart(1, 1), chart(1, 1)
+	after0, after1 := chart(3, 1), chart(1, 5)
+	two := &Estimator{
+		Dist:         distance.EMD,
+		Bases:        []*vis.Data{base0, base1},
+		Hypothetical: func(Hypothesis) []*vis.Data { return []*vis.Data{nil, after1} },
+	}
+	if got, want := two.MBenefit(1, 0), distance.EMD(base1, after1); got != want {
+		t.Fatalf("nil view 0 priced %v, want view 1's term %v", got, want)
+	}
+	two.Hypothetical = func(Hypothesis) []*vis.Data { return []*vis.Data{after0, after1} }
+	if got, want := two.MBenefit(2, 0), distance.EMD(base0, after0)+distance.EMD(base1, after1); got != want {
+		t.Fatalf("two-view price %v, want %v", got, want)
 	}
 }
 
@@ -105,13 +135,13 @@ func TestAnnotateFillsGraph(t *testing.T) {
 	base := chart(1, 1, 1)
 	afterAny := chart(4, 1, 1)
 	e := &Estimator{
-		Dist: distance.EMD,
-		Base: base,
-		Hypothetical: func(h Hypothesis) *vis.Data {
+		Dist:  distance.EMD,
+		Bases: []*vis.Data{base},
+		Hypothetical: func(h Hypothesis) []*vis.Data {
 			if h.Kind == TSplit {
-				return base.Clone()
+				return []*vis.Data{base.Clone()}
 			}
-			return afterAny
+			return []*vis.Data{afterAny}
 		},
 	}
 	g := erg.MustNew([]dataset.TupleID{1, 2, 3})
@@ -165,11 +195,11 @@ func TestMemoizationPricesUniqueHypothesesOnce(t *testing.T) {
 	base := chart(1, 2)
 	var calls int
 	e := &Estimator{
-		Dist: distance.EMD,
-		Base: base,
-		Hypothetical: func(h Hypothesis) *vis.Data {
+		Dist:  distance.EMD,
+		Bases: []*vis.Data{base},
+		Hypothetical: func(h Hypothesis) []*vis.Data {
 			calls++
-			return chart(3, 2)
+			return []*vis.Data{chart(3, 2)}
 		},
 	}
 	// Symmetric forms canonicalize to one memo slot: (1,2) vs (2,1)
@@ -206,11 +236,11 @@ func TestAnnotateWorkerCountInvariance(t *testing.T) {
 		base := chart(1, 1, 1, 1)
 		e := &Estimator{
 			Dist:    distance.EMD,
-			Base:    base,
+			Bases:   []*vis.Data{base},
 			Workers: workers,
-			Hypothetical: func(h Hypothesis) *vis.Data {
+			Hypothetical: func(h Hypothesis) []*vis.Data {
 				// A distinct, deterministic chart per hypothesis.
-				return chart(float64(h.Kind)+1, float64(h.ID), h.Value, float64(h.Pair.A)+float64(h.Pair.B))
+				return []*vis.Data{chart(float64(h.Kind)+1, float64(h.ID), h.Value, float64(h.Pair.A)+float64(h.Pair.B))}
 			},
 		}
 		g := erg.MustNew([]dataset.TupleID{1, 2, 3, 4, 5})

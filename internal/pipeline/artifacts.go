@@ -380,15 +380,13 @@ func (s *Session) pristine() bool {
 		len(s.answeredM) == 0 && len(s.answeredO) == 0
 }
 
-// pristineVis serves the primary view's shared initial chart while the
-// session is pristine; nil sends the caller down the private build path.
-func (s *Session) pristineVis() *vis.Data { return s.pristineVisView(0) }
-
-// pristineVisView is pristineVis for view v. Each view has its own
-// cache slot, keyed by the view's query string on top of the table
-// fingerprint, so concurrent sessions over the same data share per-view
-// charts and baselines independently of which other views they carry.
-func (s *Session) pristineVisView(v int) *vis.Data {
+// pristineChart serves view v's shared initial chart while the session
+// is pristine; nil sends the caller down the private build path. Each
+// view has its own cache slot, keyed by the view's query string on top
+// of the table fingerprint, so concurrent sessions over the same data
+// share per-view charts and baselines independently of which other
+// views they carry.
+func (s *Session) pristineChart(v int) *vis.Data {
 	if !s.pristine() {
 		return nil
 	}

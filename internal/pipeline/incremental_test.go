@@ -76,8 +76,8 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 				}
 				for _, h := range collectHypotheses(g) {
 					full := 0.0
-					if after := s.hypotheticalVis(h); after != nil {
-						full = s.cfg.Dist(base, after)
+					if after := s.hypotheticalCharts(h); after != nil && after[0] != nil {
+						full = s.cfg.Dist(base, after[0])
 					}
 					inc, ok := p.price(h)
 					if !ok {

@@ -57,8 +57,8 @@ func chaosAnswer(q Question) Answer {
 func chartKey(st State) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iter=%d;d=%016x;", st.Iteration, math.Float64bits(st.DistToTruth))
-	if st.Vis != nil {
-		for _, p := range st.Vis.Points {
+	if len(st.ViewVis) > 0 {
+		for _, p := range st.ViewVis[0].Points {
 			fmt.Fprintf(&b, "%s=%016x;", p.Label, math.Float64bits(p.Y))
 		}
 	}

@@ -377,7 +377,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	if math.Abs(after.DistToTruth-before.DistToTruth) > 1e-12 {
 		t.Fatalf("dist to truth after restart = %v, want %v", after.DistToTruth, before.DistToTruth)
 	}
-	chartEqual(t, before.Vis, after.Vis)
+	chartEqual(t, before.ViewVis[0], after.ViewVis[0])
 
 	// And the restored session keeps working.
 	if err := iterateRetry(reg2, id); err != nil {

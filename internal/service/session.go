@@ -42,17 +42,17 @@ type Session struct {
 	pending   *Question
 	nextQID   int
 	iterCount int
-	vis       *vis.Data
 	// viewVis/viewQueries cache every registered view's chart and VQL
-	// text in registration order; viewVis[0] == vis. Multi-view sessions
-	// (DESIGN.md §13) poll all panels through one State call.
+	// text in registration order; viewVis[0] is the primary chart.
+	// Multi-view sessions (DESIGN.md §13) poll all panels through one
+	// State call.
 	viewVis     []*vis.Data
 	viewQueries []string
 	dist        float64
-	lastRep    *pipeline.Report
-	cqg        *CQGView
-	errMsg     string
-	lastActive time.Time
+	lastRep     *pipeline.Report
+	cqg         *CQGView
+	errMsg      string
+	lastActive  time.Time
 	// iterTag is the request tag (X-Request-ID) of the iterate call that
 	// scheduled the in-flight iteration; the worker folds it into the
 	// iteration's obs trace label and clears it.
@@ -105,17 +105,16 @@ type CQGView struct {
 
 // State is a point-in-time view of a session for frontends.
 type State struct {
-	ID          string
-	Spec        Spec
-	Iteration   int
-	Running     bool
-	Question    *Question
-	CQG         *CQGView
-	Report      *pipeline.Report
-	Err         string
-	Vis         *vis.Data
+	ID        string
+	Spec      Spec
+	Iteration int
+	Running   bool
+	Question  *Question
+	CQG       *CQGView
+	Report    *pipeline.Report
+	Err       string
 	// ViewVis/ViewQueries carry every registered view's chart and VQL
-	// text in registration order; ViewVis[0] is the same chart as Vis.
+	// text in registration order; ViewVis[0] is the primary chart.
 	ViewVis     []*vis.Data
 	ViewQueries []string
 	DistToTruth float64
@@ -139,7 +138,6 @@ func (s *Session) State() State {
 		Running:     s.running,
 		CQG:         s.cqg,
 		Err:         s.errMsg,
-		Vis:         s.vis,
 		ViewVis:     s.viewVis,
 		ViewQueries: s.viewQueries,
 		DistToTruth: s.dist,
@@ -157,11 +155,15 @@ func (s *Session) State() State {
 }
 
 // refreshCache recomputes the cached chart/distance/iteration view from
-// the pipeline. Callers must hold exclusive ownership of the pipeline
-// (worker at iteration end, registry at create/restore).
+// the pipeline, building the charts once. Callers must hold exclusive
+// ownership of the pipeline (worker at iteration end, registry at
+// create/restore).
 func (s *Session) refreshCache() {
 	all, err := s.ps.CurrentVisAll()
-	d, derr := s.ps.DistToTruth()
+	var d float64
+	if err == nil {
+		d = s.ps.DistToTruthOf(all[0])
+	}
 	iter := s.ps.Iteration()
 	queries := make([]string, 0, s.ps.NumViews())
 	for _, q := range s.ps.ViewQueries() {
@@ -170,12 +172,9 @@ func (s *Session) refreshCache() {
 	s.mu.Lock()
 	if err == nil {
 		s.viewVis = all
-		s.vis = all[0]
-	}
-	s.viewQueries = queries
-	if derr == nil {
 		s.dist = d
 	}
+	s.viewQueries = queries
 	s.iterCount = iter
 	s.mu.Unlock()
 }

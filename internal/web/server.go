@@ -240,14 +240,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 type stateResponse struct {
-	ID        string    `json:"id"`
-	Query     string    `json:"query"`
-	Iteration int       `json:"iteration"`
-	Running   bool      `json:"running"`
-	Chart     chartJSON `json:"chart"`
+	ID        string `json:"id"`
+	Query     string `json:"query"`
+	Iteration int    `json:"iteration"`
+	Running   bool   `json:"running"`
+	// Chart is view 0's chart: an alias of views[0].chart kept at the
+	// HTTP boundary for single-view clients.
+	Chart chartJSON `json:"chart"`
 	// Views carries every registered view's query and chart in
-	// registration order; views[0] duplicates query/chart above (kept for
-	// single-view clients).
+	// registration order; views[0] duplicates query/chart above.
 	Views    []viewJSON        `json:"views,omitempty"`
 	Truth    float64           `json:"distToTruth"`
 	Question *service.Question `json:"question,omitempty"`
@@ -289,15 +290,15 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		CQG:       st.CQG,
 		Error:     st.Err,
 	}
-	if st.Vis != nil {
-		resp.Chart = toChartJSON(st.Vis)
-	}
 	for i, v := range st.ViewVis {
 		vj := viewJSON{Chart: toChartJSON(v)}
 		if i < len(st.ViewQueries) {
 			vj.Query = st.ViewQueries[i]
 		}
 		resp.Views = append(resp.Views, vj)
+	}
+	if len(resp.Views) > 0 {
+		resp.Chart = resp.Views[0].Chart
 	}
 	if st.Report != nil {
 		resp.Report = &repJSON{
