@@ -33,33 +33,6 @@ func TokenSet(s string) map[string]struct{} {
 	return set
 }
 
-// QGrams returns the padded character q-grams of the lower-cased string.
-// q must be >= 1; the string is padded with q-1 sentinel '#' characters on
-// both sides so short strings still produce grams.
-func QGrams(s string, q int) []string {
-	if q < 1 {
-		panic("stringsim: q must be >= 1")
-	}
-	pad := strings.Repeat("#", q-1)
-	runes := []rune(pad + strings.ToLower(s) + pad)
-	if len(runes) < q {
-		return nil
-	}
-	grams := make([]string, 0, len(runes)-q+1)
-	for i := 0; i+q <= len(runes); i++ {
-		grams = append(grams, string(runes[i:i+q]))
-	}
-	return grams
-}
-
-func setOf(items []string) map[string]struct{} {
-	set := make(map[string]struct{}, len(items))
-	for _, it := range items {
-		set[it] = struct{}{}
-	}
-	return set
-}
-
 func overlap(a, b map[string]struct{}) int {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -87,11 +60,6 @@ func JaccardSets(a, b map[string]struct{}) float64 {
 // Jaccard is token-set Jaccard similarity of two strings.
 func Jaccard(a, b string) float64 {
 	return JaccardSets(TokenSet(a), TokenSet(b))
-}
-
-// QGramJaccard is q-gram-set Jaccard similarity of two strings.
-func QGramJaccard(a, b string, q int) float64 {
-	return JaccardSets(setOf(QGrams(a, q)), setOf(QGrams(b, q)))
 }
 
 // Dice computes the Sørensen–Dice coefficient over token sets.

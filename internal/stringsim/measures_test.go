@@ -32,29 +32,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestQGrams(t *testing.T) {
-	got := QGrams("ab", 2)
-	want := []string{"#a", "ab", "b#"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("QGrams = %v, want %v", got, want)
-	}
-	if g := QGrams("", 3); g != nil {
-		// padded empty string "####" yields grams; verify deterministic behaviour
-		if len(g) != 2 {
-			t.Fatalf("QGrams(\"\",3) = %v", g)
-		}
-	}
-}
-
-func TestQGramsPanicsOnBadQ(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	QGrams("x", 0)
-}
-
 func TestJaccard(t *testing.T) {
 	cases := []struct {
 		a, b string

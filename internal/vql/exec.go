@@ -279,18 +279,3 @@ func (q *Query) sortPoints(d *vis.Data) {
 		return c < 0
 	})
 }
-
-// ReplaceDatasetName returns a copy of the query with FROM rewritten;
-// the experiment harness uses it to point one task at scaled datasets.
-func (q *Query) ReplaceDatasetName(name string) *Query {
-	cp := *q
-	cp.From = name
-	cp.Where = append([]Predicate(nil), q.Where...)
-	return &cp
-}
-
-// NormalizeKeywordCase is a helper for tests: uppercases bare keywords so
-// string comparisons of serialized queries are stable.
-func NormalizeKeywordCase(src string) string {
-	return strings.Join(strings.Fields(src), " ")
-}
