@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"visclean/internal/dataset"
@@ -45,6 +46,12 @@ type Answer struct {
 	// Query is the VQL text of a view added mid-session (kind V).
 	Query string `json:"query,omitempty"`
 }
+
+// ErrInvalidAnswer reports a logged answer that names nothing in the
+// session it is replayed into: a tuple id missing from the table, a
+// tuple paired with itself, or an A-answer on a column that is not a
+// registered A-column. Replay wraps it with the offending entry.
+var ErrInvalidAnswer = errors.New("pipeline: invalid answer")
 
 // History is a session's answer log: one answer group per completed
 // iteration, plus the applied-but-uncommitted answers of an iteration
@@ -128,6 +135,9 @@ func (s *Session) Replay(h History) error {
 // live iteration used, which also re-logs it — so a restored session's
 // own History() is immediately snapshot-complete again.
 func (s *Session) replayAnswer(a Answer) error {
+	if err := s.checkAnswer(a); err != nil {
+		return err
+	}
 	switch a.Kind {
 	case AnswerKindT:
 		s.applyT(em.MakePair(a.A, a.B), a.Yes)
@@ -147,4 +157,48 @@ func (s *Session) replayAnswer(a Answer) error {
 		return fmt.Errorf("unknown answer kind %q", a.Kind)
 	}
 	return nil
+}
+
+// checkAnswer rejects a logged answer that names nothing in the session
+// as it stands at this point of the replay: the A-column set is the one
+// registered so far, so an answer logged after an AddView is checked
+// against the extended set.
+func (s *Session) checkAnswer(a Answer) error {
+	var why string
+	switch a.Kind {
+	case AnswerKindT:
+		switch {
+		case a.A == a.B:
+			why = "tuple paired with itself"
+		case !s.hasTuple(a.A) || !s.hasTuple(a.B):
+			why = "unknown tuple id"
+		}
+	case AnswerKindA:
+		if !s.isAColumn(a.Column) {
+			why = "not a registered A-column"
+		}
+	case AnswerKindM, AnswerKindO:
+		if !s.hasTuple(a.A) {
+			why = "unknown tuple id"
+		}
+	}
+	if why == "" {
+		return nil
+	}
+	return fmt.Errorf("%w: %s: %+v", ErrInvalidAnswer, why, a)
+}
+
+func (s *Session) hasTuple(id dataset.TupleID) bool {
+	_, ok := s.table.RowIndex(id)
+	return ok
+}
+
+func (s *Session) isAColumn(name string) bool {
+	schema := s.table.Schema()
+	for _, c := range s.aColumns {
+		if schema[c].Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -192,5 +193,35 @@ func TestReplayRequiresFreshSession(t *testing.T) {
 	}
 	if err := s.Replay(History{}); err == nil {
 		t.Fatal("Replay on a used session must fail")
+	}
+}
+
+// TestReplayRejectsInvalidAnswers: a logged answer naming a tuple or
+// column the session does not have fails Replay with ErrInvalidAnswer
+// before anything is applied or re-logged.
+func TestReplayRejectsInvalidAnswers(t *testing.T) {
+	probe, _ := newTestSession(t, SelectGSS, 7)
+	id := probe.Table().ID(0)
+	cases := []struct {
+		name string
+		a    Answer
+	}{
+		{"T unknown ids", Answer{Kind: AnswerKindT, A: 999999999, B: 999999998, Yes: true}},
+		{"T self-pair", Answer{Kind: AnswerKindT, A: id, B: id, Yes: true}},
+		{"A unknown column", Answer{Kind: AnswerKindA, Column: "nope", V1: "x", V2: "y", Yes: true}},
+		{"M unknown id", Answer{Kind: AnswerKindM, A: 999999999, Value: 1}},
+		{"O unknown id", Answer{Kind: AnswerKindO, A: 999999999, Yes: true, Value: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := newTestSession(t, SelectGSS, 7)
+			err := s.Replay(History{Iterations: [][]Answer{{c.a}}})
+			if !errors.Is(err, ErrInvalidAnswer) {
+				t.Fatalf("Replay(%+v) = %v, want ErrInvalidAnswer", c.a, err)
+			}
+			if n := s.History().NumAnswers(); n != 0 {
+				t.Fatalf("rejected answer left %d logged answers", n)
+			}
+		})
 	}
 }

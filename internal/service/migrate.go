@@ -153,6 +153,9 @@ func (r *Registry) Attach(snap Snapshot) error {
 		err = ps.Replay(snap.History)
 	}
 	if err != nil {
+		if ps != nil {
+			ps.Close()
+		}
 		r.releaseSlot()
 		return fmt.Errorf("service: attach session %s: %w", id, err)
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"visclean/internal/pipeline"
 )
 
 // historyJSON canonicalizes a snapshot's answer log for comparison.
@@ -247,5 +249,37 @@ func TestKillDoesNotPersist(t *testing.T) {
 	reg.Kill()
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Kill persisted a snapshot: stat err = %v", err)
+	}
+}
+
+// TestAttachRejectsInvalidAnswers: a snapshot whose log names a tuple
+// the dataset does not have fails Attach with the pipeline's
+// ErrInvalidAnswer and registers no session; the slot it reserved is
+// released, so the intact snapshot still attaches afterwards.
+func TestAttachRejectsInvalidAnswers(t *testing.T) {
+	regA := newTestRegistry(t, nil)
+	regB := newTestRegistry(t, func(c *Config) { c.MaxSessions = 1 })
+	id, err := regA.Create(testSpec(11, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := regA.Detach(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := snap
+	bad.History.Partial = append(append([]pipeline.Answer(nil), snap.History.Partial...),
+		pipeline.Answer{Kind: pipeline.AnswerKindT, A: 999999999, B: 999999998, Yes: true})
+	if err := regB.Attach(bad); !errors.Is(err, pipeline.ErrInvalidAnswer) {
+		t.Fatalf("Attach of a snapshot naming unknown tuples = %v, want ErrInvalidAnswer", err)
+	}
+	if n := len(regB.List()); n != 0 {
+		t.Fatalf("failed Attach registered %d sessions", n)
+	}
+	if _, err := regB.State(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("State after failed Attach = %v, want ErrNotFound", err)
+	}
+	if err := regB.Attach(snap); err != nil {
+		t.Fatalf("Attach of the intact snapshot after a rejected one: %v", err)
 	}
 }
