@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench.sh — run the performance-tracking benchmarks and record their
-# metrics as JSON (BENCH_pr7.json) so future changes can be compared
+# metrics as JSON (BENCH_pr8.json) so future changes can be compared
 # against a committed baseline. BenchmarkAnnotate isolates the benefit
 # engine hot path: the incremental delta pricer at Workers=1 vs
 # Workers=8, plus a FullRebuild variant (Config.NoIncremental) that

@@ -3,21 +3,22 @@
 # suite with the race detector on, the determinism + incremental
 # equivalence suites (same seed, Workers=1 vs Workers=8, delta pricing
 # vs full rebuild, and incremental detection vs full detect must all be
-# byte-identical), and a one-shot benchmark smoke so the bench harness
-# cannot rot. The smoke also guards the incremental engines' reason to
-# exist: if BenchmarkAnnotate's Workers=1 ns/op or the Incremental
-# iteration-phase detect_µs regresses to more than 2x the committed
-# baseline (BENCH_pr3.json / BENCH_pr7.json), the check fails. The
-# columnar dataset engine gets the same treatment via BENCH_pr8.json:
-# table-ops ns/op must stay within 2x and the zero-allocation scan path
-# must not start allocating. The shared artifact cache's reason to
-# exist — a warm second-session setup — is guarded the same way via
-# BENCH_pr9.json: BenchmarkSessionSetup/Warm must stay within 2x of the
-# committed baseline. The multi-view session (DESIGN.md §13) is guarded
-# by BENCH_pr10.json: BenchmarkMultiView's answers-to-convergence counts
-# are deterministic (fixed seed/scale), so they must match the baseline
-# exactly — any drift means cross-view pricing changed behavior. CI and
-# pre-commit both run this.
+# byte-identical; the multi-view fences and the single-view golden
+# digests run uncached beside them), and a one-shot benchmark smoke so
+# the bench harness cannot rot. The smoke also guards the incremental
+# engines' reason to exist: if BenchmarkAnnotate's Workers=1 ns/op or
+# the Incremental iteration-phase detect_µs regresses to more than 2x
+# the committed baseline (BENCH_pr3.json / BENCH_pr7.json), the check
+# fails. The columnar dataset engine gets the same treatment via
+# BENCH_pr8.json: table-ops ns/op must stay within 2x and the
+# zero-allocation scan path must not start allocating. The shared
+# artifact cache's reason to exist — a warm second-session setup — is
+# guarded the same way via BENCH_pr9.json: BenchmarkSessionSetup/Warm
+# must stay within 2x of the committed baseline. The multi-view session
+# (DESIGN.md §13) is guarded by BENCH_pr10.json: BenchmarkMultiView's
+# answers-to-convergence counts are deterministic (fixed seed/scale), so
+# they must match the baseline exactly — any drift means cross-view
+# pricing changed behavior. CI and pre-commit both run this.
 #
 # Every guard prefers BENCH_baseline.json when it covers the benchmark:
 # that file is written by `scripts/bench.sh --baseline-worktree`, which
@@ -49,8 +50,8 @@ go vet ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "== determinism + incremental equivalence suites (-race)"
-go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence' ./internal/pipeline/
+echo "== determinism, incremental equivalence, multi-view and single-view golden suites (-race)"
+go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence|TestMultiView|TestSingleViewGolden' ./internal/pipeline/
 
 echo "== chaos suite: fault-injection kill-restart (-race, short mode)"
 go test -race -short -count=1 -run 'TestChaos' ./internal/service/
