@@ -1,6 +1,9 @@
 package dataset
 
-import "strings"
+import (
+	"strings"
+	"sync/atomic"
+)
 
 // column is the typed storage behind one attribute. Implementations hold
 // flat arrays plus a null bitmap; Table enforces kind checks before
@@ -115,12 +118,14 @@ func (c *floatCol) compact(keep []bool, kept int) {
 
 // stringCol stores a String column as []uint32 codes into an interner.
 // Clones share the dictionary read-only (shared=true on both sides);
-// ensureDict copies it before the first new-string write.
+// codeFor copies it before the first new-string write. shared is atomic
+// because Clone is a read of the source table, and several goroutines
+// may clone one table at once.
 type stringCol struct {
 	codes  []uint32
 	nulls  bitmap
 	dict   *interner
-	shared bool
+	shared atomic.Bool
 }
 
 func newStringCol() *stringCol { return &stringCol{dict: newInterner()} }
@@ -149,9 +154,9 @@ func (c *stringCol) codeFor(s string) uint32 {
 	if code, ok := c.dict.lookup(s); ok {
 		return code
 	}
-	if c.shared {
+	if c.shared.Load() {
 		c.dict = c.dict.clone()
-		c.shared = false
+		c.shared.Store(false)
 	}
 	return c.dict.intern(s)
 }
@@ -198,8 +203,10 @@ func (c *stringCol) clone() column {
 	copy(codes, c.codes)
 	// Both sides now treat the dictionary as frozen; whichever table
 	// first needs a new code copies it (see codeFor).
-	c.shared = true
-	return &stringCol{codes: codes, nulls: c.nulls.clone(), dict: c.dict, shared: true}
+	c.shared.Store(true)
+	cp := &stringCol{codes: codes, nulls: c.nulls.clone(), dict: c.dict}
+	cp.shared.Store(true)
+	return cp
 }
 
 func (c *stringCol) permute(idx []int) {
