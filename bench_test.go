@@ -194,9 +194,10 @@ func BenchmarkFig18_ComponentTime(b *testing.B) {
 }
 
 // annotateSession builds one D1 session at the given scale for the
-// benefit-annotation benchmark. noInc switches off the incremental
-// delta pricer so the benchmark can compare it against full rebuilds.
-func annotateSession(b *testing.B, scale float64, workers int, noInc bool) *pipeline.Session {
+// benefit-annotation benchmark and advances it by late oracle-answered
+// iterations. noInc switches off the incremental delta pricer so the
+// benchmark can compare it against full rebuilds.
+func annotateSession(b *testing.B, scale float64, workers int, noInc bool, late int) *pipeline.Session {
 	b.Helper()
 	d := datagen.D1(datagen.Config{Scale: scale, Seed: 1})
 	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
@@ -204,19 +205,33 @@ func annotateSession(b *testing.B, scale float64, workers int, noInc bool) *pipe
 	if err != nil {
 		b.Fatal(err)
 	}
+	user := oracle.New(d.Truth, 1)
+	for i := 0; i < late; i++ {
+		rep, err := s.RunIteration(user)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Exhausted {
+			b.Fatalf("session exhausted after %d of %d iterations", i, late)
+		}
+	}
 	return s
 }
 
 // BenchmarkAnnotate isolates the benefit-model hot path — pricing every
-// edge and vertex repair of the first iteration's ERG. Sub-benchmarks
-// cover the incremental delta pricer at worker counts 1 and 8 plus a
+// edge and vertex repair of one iteration's ERG. Sub-benchmarks cover
+// the incremental delta pricer at worker counts 1 and 8 plus a
 // FullRebuild variant (NoIncremental) that re-executes the query per
 // hypothesis the way PR 2 did — the ns/op ratio between FullRebuild and
-// Workers1 is the speedup the delta pricer buys. All variants are
-// bit-identical (cross-checked against the Workers1 edge benefits), so
-// the only difference is wall-clock. evals/op reports unique hypotheses
-// priced (memo cache misses); the pricer sits inside the memoized path,
-// so evals is the same in every variant.
+// Workers1 is the speedup the delta pricer buys. These three price the
+// first iteration of a fresh session and are bit-identical
+// (cross-checked against the Workers1 edge benefits), so the only
+// difference is wall-clock. Late prices the ERG after 8 oracle-answered
+// iterations, where merged clusters and approved synonyms make the
+// dirty groups larger — the traffic a real session's annotate sees.
+// evals/op reports unique hypotheses priced (memo cache misses); the
+// pricer sits inside the memoized path, so evals is the same in every
+// fresh-session variant.
 func BenchmarkAnnotate(b *testing.B) {
 	const scale = 0.05
 	var baseline []float64 // Workers=1 edge benefits, for cross-check
@@ -224,16 +239,19 @@ func BenchmarkAnnotate(b *testing.B) {
 		name    string
 		workers int
 		noInc   bool
+		late    int
 	}{
-		{"Workers1", 1, false},
-		{"Workers8", 8, false},
-		{"FullRebuild", 1, true},
+		{"Workers1", 1, false, 0},
+		{"Workers8", 8, false, 0},
+		{"FullRebuild", 1, true, 0},
+		{"Late", 1, false, 8},
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			s := annotateSession(b, scale, v.workers, v.noInc)
+			s := annotateSession(b, scale, v.workers, v.noInc, v.late)
 			workers := v.workers
 			var evals int
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g, n, err := s.BuildAnnotatedERG(workers)
@@ -248,7 +266,7 @@ func BenchmarkAnnotate(b *testing.B) {
 				b.StopTimer()
 				if v.name == "Workers1" {
 					baseline = benefits
-				} else if baseline != nil {
+				} else if baseline != nil && v.late == 0 {
 					if len(benefits) != len(baseline) {
 						b.Fatalf("edge count differs across variants: %d vs %d", len(benefits), len(baseline))
 					}
@@ -268,8 +286,8 @@ func BenchmarkAnnotate(b *testing.B) {
 // BenchmarkIterationPhases runs a short cleaning session (four
 // iterations — the amortization horizon that matters, since detection
 // structures built in iteration 1 pay off in 2..n) and reports the
-// summed per-phase breakdown (Report.Timings) as custom metrics. The
-// Incremental/FullDetect sub-benchmarks differ only in the
+// summed breakdown of all eight phases (Report.Timings) as custom
+// metrics. The Incremental/FullDetect sub-benchmarks differ only in the
 // NoIncrementalDetect kill switch, so their detect_µs ratio is the
 // detect-phase speedup; scripts/check.sh gates on the Incremental
 // variant's detect_µs against the recorded baseline.
@@ -287,7 +305,7 @@ func BenchmarkIterationPhases(b *testing.B) {
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			var detect, buildERG, annotate, sel, accepts, fallbacks float64
+			var detect, buildERG, annotate, sel, apply, train, view, dist, accepts, fallbacks float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s, err := pipeline.NewSession(d.Dirty.Clone(), q, d.KeyColumns, pipeline.Config{
@@ -297,7 +315,7 @@ func BenchmarkIterationPhases(b *testing.B) {
 					b.Fatal(err)
 				}
 				user := oracle.New(d.Truth, 1)
-				detect, buildERG, annotate, sel, accepts, fallbacks = 0, 0, 0, 0, 0, 0
+				detect, buildERG, annotate, sel, apply, train, view, dist, accepts, fallbacks = 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
 				b.StartTimer()
 				for it := 0; it < iters; it++ {
 					rep, err := s.RunIteration(user)
@@ -309,6 +327,10 @@ func BenchmarkIterationPhases(b *testing.B) {
 					buildERG += float64(rep.Timings.BuildERG.Microseconds())
 					annotate += float64(rep.Timings.Benefit.Microseconds())
 					sel += float64(rep.Timings.Select.Microseconds())
+					apply += float64(rep.Timings.Apply.Microseconds())
+					train += float64(rep.Timings.Train.Microseconds())
+					view += float64(rep.Timings.View.Microseconds())
+					dist += float64(rep.Timings.Distance.Microseconds())
 					accepts += float64(rep.DetectAccepts)
 					fallbacks += float64(rep.DetectFallbacks)
 					if rep.Exhausted {
@@ -321,6 +343,10 @@ func BenchmarkIterationPhases(b *testing.B) {
 			b.ReportMetric(buildERG, "buildERG_µs")
 			b.ReportMetric(annotate, "annotate_µs")
 			b.ReportMetric(sel, "select_µs")
+			b.ReportMetric(apply, "apply_µs")
+			b.ReportMetric(train, "train_µs")
+			b.ReportMetric(view, "view_µs")
+			b.ReportMetric(dist, "distance_µs")
 			b.ReportMetric(accepts, "accepts/op")
 			b.ReportMetric(fallbacks, "fallbacks/op")
 		})

@@ -393,7 +393,7 @@ func (s *Session) pristineChart(v int) *vis.Data {
 	if s.basevis[v] == nil {
 		q := s.queries[v]
 		a := s.acquire("basevis:q="+q.String(), func() (artifact.Artifact, error) {
-			view := s.buildView(s.clusters, s.std, nil)
+			view := s.buildView(s.clusters, s.std, nil, s.viewCols)
 			d, err := q.Execute(view)
 			if err != nil {
 				return nil, err

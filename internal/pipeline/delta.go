@@ -1,7 +1,8 @@
 package pipeline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"visclean/internal/benefit"
 	"visclean/internal/dataset"
@@ -14,20 +15,26 @@ import (
 
 // deltaPricer prices hypotheses by incremental delta evaluation instead
 // of the full view-rebuild-and-execute path. One pricer is built per
-// iteration after freezeShared; it registers the base view's rows with
-// an incremental query executor and the base visualization with an
-// incremental distance baseline, and each hypothesis then costs only its
-// delta:
+// iteration after freezeShared; it keeps the base view's rows, projected
+// to the columns the views read, registers them with an incremental
+// query executor per view and the base charts with incremental distance
+// baselines, and each hypothesis then costs only its delta:
 //
 //   - an M/O cell override perturbs exactly one cluster's consolidated
 //     row;
 //   - an A-approval rewrites only the clusters whose rows carry a value
 //     of the two merged synonym classes, found through per-column
 //     value→clusters posting lists;
-//   - a T-answer rebuilds the entity partition (cheap: one union-find
-//     pass over the shared merge list) and diffs it against the base
-//     partition — only base clusters that are no longer intact, plus the
-//     posting-dirty clusters of the implied A-equations, are rebuilt.
+//   - a T-answer rebuilds the entity partition (one union-find pass over
+//     the shared merge list, skipped by the fast paths in price) and
+//     diffs it against the base partition — only base clusters that are
+//     no longer intact, plus the posting-dirty clusters of the implied
+//     A-equations, are rebuilt.
+//
+// A dirty cluster whose membership is unchanged (every M/O and A case,
+// the posting-dirty clusters of the T cases) copies its base row and
+// re-resolves only the columns the hypothesis changes; only regrouped
+// clusters are consolidated column by column from scratch.
 //
 // The partition diff is sound because every tuple belongs to exactly one
 // base cluster: if a hypothetical cluster mixed tuples of an intact base
@@ -36,8 +43,8 @@ import (
 // therefore be regrouped among themselves.
 //
 // Bit-identity: every float produced here is computed by the same code
-// in the same order as the full path — rows via viewRowFor (shared with
-// buildView), charts via vql.Incremental (contract-tested against
+// in the same order as the full path — rows via resolveColumn (shared
+// with buildView), charts via vql.Incremental (contract-tested against
 // Execute), distances via distance.Baseline (replays Default's exact
 // arithmetic). price returns ok=false whenever a hypothesis falls
 // outside the incremental fast path (unknown value, construction
@@ -51,15 +58,15 @@ type deltaPricer struct {
 	s *Session
 	// bases / execs hold one distance baseline and one incremental
 	// executor per registered view, in registration order. All
-	// executors are registered over the same base rows (the cleaned
-	// relation is query-independent), so one delta materialization
+	// executors are registered over the same base rows, projected to
+	// the union of the views' columns, so one delta materialization
 	// prices every view.
 	bases []*distance.Baseline
 	execs []*vql.Incremental
 
 	groups  [][]dataset.TupleID // base partition, Groups(1) order
 	ranks   []int64             // ranks[gi] = int64(groups[gi][0])
-	hasRow  []bool              // group produced a base view row
+	rows    [][]dataset.Value   // projected base view row; nil: none
 	groupOf map[dataset.TupleID]int
 
 	// posting[col][rep] lists the groups (ascending) with a member whose
@@ -99,7 +106,7 @@ func (s *Session) newDeltaPricer(bases []*vis.Data) *deltaPricer {
 		p.bases[v] = s.baselineFor(v, bases[v])
 	}
 	p.ranks = make([]int64, len(p.groups))
-	p.hasRow = make([]bool, len(p.groups))
+	p.rows = make([][]dataset.Value, len(p.groups))
 
 	rows := make([]vql.IncRow, 0, len(p.groups))
 	for gi, g := range p.groups {
@@ -107,9 +114,8 @@ func (s *Session) newDeltaPricer(bases []*vis.Data) *deltaPricer {
 		for _, id := range g {
 			p.groupOf[id] = gi
 		}
-		vals, ok := s.viewRowFor(g, s.std, nil)
-		p.hasRow[gi] = ok
-		if ok {
+		if vals, ok := s.viewRowFor(g, s.std, nil, s.viewCols); ok {
+			p.rows[gi] = vals
 			rows = append(rows, vql.IncRow{Rank: p.ranks[gi], Vals: vals})
 		}
 	}
@@ -173,6 +179,19 @@ func (s *Session) newDeltaPricer(bases []*vis.Data) *deltaPricer {
 	return p
 }
 
+// delta is one hypothesis's change to the base view rows: base groups
+// dissolved, member lists rebuilt in full, and base groups whose
+// membership is unchanged, which copy their base row and re-resolve
+// only the columns the hypothesis changes.
+type delta struct {
+	gone  []int
+	fresh [][]dataset.TupleID
+	same  []int
+	cols  []int
+	std   map[string]*goldenrec.Standardizer
+	ov    *dataset.Overlay
+}
+
 // price evaluates one (canonicalized) hypothesis incrementally. ok=false
 // requests the full-rebuild fallback.
 func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
@@ -194,7 +213,7 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		if ov.Set(h.ID, p.s.yCol, dataset.Num(h.Value)) != nil {
 			return 0, false
 		}
-		return p.eval([]int{gi}, [][]dataset.TupleID{p.groups[gi]}, p.s.std, ov)
+		return p.eval(delta{same: []int{gi}, cols: []int{p.s.yCol}, std: p.s.std, ov: ov})
 
 	case benefit.AApprove:
 		if p.s.std[h.Column] == nil {
@@ -205,8 +224,7 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		if !ok {
 			return 0, false
 		}
-		removed, regrouped := p.sameGroups(dirty)
-		return p.eval(removed, regrouped, p.s.stdOverride(changes), nil)
+		return p.eval(delta{same: sortedGroups(dirty, nil), cols: p.changedCols(changes), std: p.s.stdOverride(changes)})
 
 	case benefit.TConfirm, benefit.TSplit:
 		// Fast paths that skip the union-find rebuild entirely. Each is
@@ -233,7 +251,7 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		giB, okB := p.groupOf[h.Pair.B]
 		if okA && okB {
 			if h.Kind == benefit.TSplit && giA != giB {
-				return p.eval(nil, nil, p.s.std, nil)
+				return p.eval(delta{std: p.s.std})
 			}
 			if h.Kind == benefit.TConfirm {
 				changes := p.s.tPairChanges(h.Pair)
@@ -241,33 +259,23 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 				if !ok {
 					return 0, false
 				}
-				std := p.s.std
+				d := delta{cols: p.changedCols(changes), std: p.s.std}
 				if override := p.s.stdOverride(changes); override != nil {
-					std = override
+					d.std = override
 				}
 				if giA == giB {
-					removed, regrouped := p.sameGroups(postDirty)
-					return p.eval(removed, regrouped, std, nil)
+					d.same = sortedGroups(postDirty, nil)
+					return p.eval(d)
 				}
 				if !p.splitTouched[giA] && !p.splitTouched[giB] {
 					merged := make([]dataset.TupleID, 0, len(p.groups[giA])+len(p.groups[giB]))
 					merged = append(merged, p.groups[giA]...)
 					merged = append(merged, p.groups[giB]...)
-					sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-					lo, hi := giA, giB
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					removed := []int{lo, hi}
-					regrouped := [][]dataset.TupleID{merged}
-					for gi := range postDirty {
-						if gi == giA || gi == giB {
-							continue
-						}
-						removed = append(removed, gi)
-						regrouped = append(regrouped, p.groups[gi])
-					}
-					return p.eval(removed, regrouped, std, nil)
+					slices.Sort(merged)
+					d.gone = []int{giA, giB}
+					d.fresh = [][]dataset.TupleID{merged}
+					d.same = sortedGroups(postDirty, func(gi int) bool { return gi == giA || gi == giB })
+					return p.eval(d)
 				}
 			}
 		}
@@ -284,19 +292,18 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		if !ok {
 			return 0, false
 		}
-		std := p.s.std
+		d := delta{cols: p.changedCols(changes), std: p.s.std}
 		if override := p.s.stdOverride(changes); override != nil {
-			std = override
+			d.std = override
 		}
 
 		// Partition diff: base clusters no longer intact are dissolved and
 		// their tuples regrouped by their hypothetical root.
-		var removed []int
 		var dirtyTuples []dataset.TupleID
 		partDirty := make(map[int]struct{})
 		for gi, g := range p.groups {
 			if !cl.GroupIntact(g) {
-				removed = append(removed, gi)
+				d.gone = append(d.gone, gi)
 				partDirty[gi] = struct{}{}
 				dirtyTuples = append(dirtyTuples, g...)
 			}
@@ -313,22 +320,19 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 			}
 			byRoot[root] = append(byRoot[root], id)
 		}
-		regrouped := make([][]dataset.TupleID, 0, len(rootOrder)+len(postDirty))
+		d.fresh = make([][]dataset.TupleID, 0, len(rootOrder))
 		for _, root := range rootOrder {
 			members := byRoot[root]
-			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-			regrouped = append(regrouped, members)
+			slices.Sort(members)
+			d.fresh = append(d.fresh, members)
 		}
 		// Posting-dirty clusters keep their membership but re-resolve
 		// under the standardizer override (unless already dissolved).
-		for gi := range postDirty {
-			if _, dissolved := partDirty[gi]; dissolved {
-				continue
-			}
-			removed = append(removed, gi)
-			regrouped = append(regrouped, p.groups[gi])
-		}
-		return p.eval(removed, regrouped, std, nil)
+		d.same = sortedGroups(postDirty, func(gi int) bool {
+			_, dissolved := partDirty[gi]
+			return dissolved
+		})
+		return p.eval(d)
 
 	default:
 		return 0, false
@@ -362,45 +366,66 @@ func (p *deltaPricer) postingDirty(changes []stdChange) (map[int]struct{}, bool)
 	return out, true
 }
 
-// sameGroups expands a dirty-group set into matching removed/regrouped
-// lists (membership unchanged; rows will re-resolve under an override).
-func (p *deltaPricer) sameGroups(dirty map[int]struct{}) ([]int, [][]dataset.TupleID) {
-	removed := make([]int, 0, len(dirty))
+// sortedGroups lists the groups of a dirty set in ascending order,
+// leaving out those skip reports (skip may be nil).
+func sortedGroups(dirty map[int]struct{}, skip func(gi int) bool) []int {
+	out := make([]int, 0, len(dirty))
 	for gi := range dirty {
-		removed = append(removed, gi)
+		if skip == nil || !skip(gi) {
+			out = append(out, gi)
+		}
 	}
-	sort.Ints(removed)
-	regrouped := make([][]dataset.TupleID, len(removed))
-	for i, gi := range removed {
-		regrouped[i] = p.groups[gi]
-	}
-	return removed, regrouped
+	slices.Sort(out)
+	return out
 }
 
-// eval materializes the delta — removed base groups and regrouped member
-// lists — into the hypothetical chart and returns its distance from the
-// base.
-func (p *deltaPricer) eval(removed []int, regrouped [][]dataset.TupleID, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) (float64, bool) {
-	ranks := make([]int64, 0, len(removed))
-	for _, gi := range removed {
-		if p.hasRow[gi] {
-			ranks = append(ranks, p.ranks[gi])
+// changedCols maps standardizer changes to the columns they rewrite.
+// Every A-column is also a projected view column (registerViewColumns),
+// so re-resolving these keeps a reused row equal to a full rebuild.
+func (p *deltaPricer) changedCols(changes []stdChange) []int {
+	cols := make([]int, len(changes))
+	for i, ch := range changes {
+		cols[i] = p.s.table.ColumnIndex(ch.name)
+	}
+	return cols
+}
+
+// eval materializes a delta into the hypothetical charts and returns
+// their summed distance from the base charts. A reused row is its base
+// row with d.cols re-resolved: the other projected columns see the same
+// members, cells and standardizers as in the base, so the row equals
+// what viewRowFor would build.
+func (p *deltaPricer) eval(d delta) (float64, bool) {
+	removed := make([]int64, 0, len(d.gone)+len(d.same))
+	added := make([]vql.IncRow, 0, len(d.fresh)+len(d.same))
+	for _, gi := range d.gone {
+		if p.rows[gi] != nil {
+			removed = append(removed, p.ranks[gi])
 		}
 	}
-	sort.Slice(regrouped, func(a, b int) bool { return regrouped[a][0] < regrouped[b][0] })
-	added := make([]vql.IncRow, 0, len(regrouped))
-	for _, g := range regrouped {
-		vals, ok := p.s.viewRowFor(g, std, ov)
-		if !ok {
+	for _, gi := range d.same {
+		base := p.rows[gi]
+		if base == nil {
 			continue
 		}
-		added = append(added, vql.IncRow{Rank: int64(g[0]), Vals: vals})
+		vals := slices.Clone(base)
+		for _, c := range d.cols {
+			vals[c] = p.s.resolveColumn(p.groups[gi], c, d.std, d.ov)
+		}
+		removed = append(removed, p.ranks[gi])
+		added = append(added, vql.IncRow{Rank: p.ranks[gi], Vals: vals})
 	}
+	for _, g := range d.fresh {
+		if vals, ok := p.s.viewRowFor(g, d.std, d.ov, p.s.viewCols); ok {
+			added = append(added, vql.IncRow{Rank: int64(g[0]), Vals: vals})
+		}
+	}
+	slices.SortFunc(added, func(a, b vql.IncRow) int { return cmp.Compare(a.Rank, b.Rank) })
 	// Summed in registration order from the first term, as the full
 	// path does, so a one-view price keeps the sign of a −0.0.
-	total := p.bases[0].Distance(p.execs[0].Eval(ranks, added))
+	total := p.bases[0].Distance(p.execs[0].Eval(removed, added))
 	for v := 1; v < len(p.execs); v++ {
-		total += p.bases[v].Distance(p.execs[v].Eval(ranks, added))
+		total += p.bases[v].Distance(p.execs[v].Eval(removed, added))
 	}
 	return total, true
 }

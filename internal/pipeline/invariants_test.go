@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"visclean/internal/datagen"
@@ -133,5 +134,59 @@ func TestAblationFlagsChangeBehaviour(t *testing.T) {
 	noGen := run(Config{NoGeneralization: true})
 	if full >= noGen {
 		t.Fatalf("generalization should help: full %v vs disabled %v", full, noGen)
+	}
+}
+
+// TestCleanedViewFillsEveryColumn checks that CleanedView stays a full
+// materialization while chart builds project: after each iteration,
+// every cell of the cleaned view is non-null exactly when some member
+// of its entity cluster has a non-null cell in that column, and the
+// projected chart build agrees with it on the views' columns and leaves
+// every other column null.
+func TestCleanedViewFillsEveryColumn(t *testing.T) {
+	d := datagen.D1(datagen.Config{Scale: 0.004, Seed: 5})
+	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
+	s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.viewCols) >= len(s.table.Schema()) {
+		t.Fatalf("projected columns %v cover the whole schema; the test needs a narrower view", s.viewCols)
+	}
+	user := oracle.New(d.Truth, 5)
+	for iter := 0; iter < 4; iter++ {
+		full := s.CleanedView()
+		projected := s.buildView(s.clusters, s.std, nil, s.viewCols)
+		if full.NumRows() != projected.NumRows() {
+			t.Fatalf("iter %d: %d cleaned rows vs %d projected", iter, full.NumRows(), projected.NumRows())
+		}
+		row := 0
+		for _, g := range s.clusters.Groups(1) {
+			if _, ok := s.table.RowIndex(g[0]); len(g) == 1 && !ok {
+				continue
+			}
+			for c := range s.table.Schema() {
+				some := false
+				for _, id := range g {
+					if v, ok := s.table.GetByID(id, c); ok && !v.IsNull() {
+						some = true
+					}
+				}
+				if got := full.Get(row, c); got.IsNull() == some {
+					t.Fatalf("iter %d row %d column %d: cleaned cell %v, some member non-null: %v", iter, row, c, got, some)
+				}
+				want := dataset.Null(s.table.Schema()[c].Kind)
+				if slices.Contains(s.viewCols, c) {
+					want = full.Get(row, c)
+				}
+				if got := projected.Get(row, c); got != want {
+					t.Fatalf("iter %d row %d column %d: projected cell %v, want %v", iter, row, c, got, want)
+				}
+			}
+			row++
+		}
+		if _, err := s.RunIteration(user); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,16 +1,18 @@
 package pipeline
 
 // Multi-view sessions: one Session serving N concurrent VQL views over
-// the same base data (DESIGN.md §13). Views share the cleaned relation —
-// buildView/viewRowFor are query-independent — so the per-view cost is
-// only query execution, incremental delta evaluation and the distance
-// baseline. Question benefit aggregates across views as the sum
-// Σ_i dist_i, accumulated in view registration order from the first
-// term, which keeps every worker count bit-identical and makes a
-// one-view session's price exactly its one distance.
+// the same base data (DESIGN.md §13). Views share one cleaned-relation
+// build, projected to the union of the columns the views read (see
+// viewCols), so the per-view cost is only query execution, incremental
+// delta evaluation and the distance baseline. Question benefit
+// aggregates across views as the sum Σ_i dist_i, accumulated in view
+// registration order from the first term, which keeps every worker
+// count bit-identical and makes a one-view session's price exactly its
+// one distance.
 
 import (
 	"fmt"
+	"slices"
 
 	"visclean/internal/dataset"
 	"visclean/internal/vql"
@@ -42,14 +44,28 @@ func (s *Session) validateView(q *vql.Query) error {
 
 // registerViewColumns extends the A-column set with one view's
 // categorical columns: its X axis plus its categorical WHERE columns,
-// in that order, deduplicated against columns already registered.
+// in that order, deduplicated against columns already registered. It
+// also extends the projected column set with every column the view
+// reads (X, Y and WHERE), a superset of the A-columns.
 func (s *Session) registerViewColumns(q *vql.Query) {
 	schema := s.table.Schema()
 	s.addACol(s.table.ColumnIndex(q.X))
+	s.addViewCol(s.table.ColumnIndex(q.X))
+	s.addViewCol(s.table.ColumnIndex(q.Y))
 	for _, p := range q.Where {
 		if !p.IsNum {
 			s.addACol(schema.Index(p.Column))
 		}
+		s.addViewCol(schema.Index(p.Column))
+	}
+}
+
+// addViewCol inserts column c into the ascending projected column set
+// unless it is already there.
+func (s *Session) addViewCol(c int) {
+	i, found := slices.BinarySearch(s.viewCols, c)
+	if !found {
+		s.viewCols = slices.Insert(s.viewCols, i, c)
 	}
 }
 

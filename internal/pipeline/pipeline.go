@@ -250,6 +250,10 @@ type Session struct {
 	// X axis if categorical, plus categorical WHERE columns (the paper's
 	// Q7 cleans Venue synonyms inside the predicate).
 	aColumns []int
+	// viewCols is the projected column set, ascending: the union of X,
+	// Y and WHERE over queries. Chart builds consolidate only these
+	// columns; the rest of a view row stays null.
+	viewCols []int
 
 	matcher    *em.Matcher
 	candidates []em.Pair

@@ -12,44 +12,62 @@ import (
 
 // buildView derives the cleaned relation the visualization runs over:
 // entity clusters consolidate into one record each (golden record), and
-// every A-question column is rewritten to its canonical value. The
-// session's working table is untouched. A non-nil overlay substitutes
-// cells on the fly (hypothetical M/O repairs) — the copy-on-write view
-// from dataset.Overlay, which replaced the single-cell cellOverride
-// struct and prices hypotheses at O(touched cells) without ever writing
-// the shared table.
+// every A-question column is rewritten to its canonical value. Only the
+// columns in cols are consolidated; the others stay null. Chart builds
+// pass s.viewCols, CleanedView passes every column. The session's
+// working table is untouched. A non-nil overlay substitutes cells on
+// the fly (hypothetical M/O repairs) — the copy-on-write view from
+// dataset.Overlay, which prices hypotheses at O(touched cells) without
+// ever writing the shared table.
 //
 // Consolidation resolves each column by majority vote over the cluster's
 // non-null values; numeric ties resolve to the median (the paper's
 // ground-truth Table II consolidates Elaps' 42 and 44 citations to 43),
 // string ties to the lexicographically smallest most-frequent value.
-func (s *Session) buildView(cl *em.Clusters, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) *dataset.Table {
+func (s *Session) buildView(cl *em.Clusters, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay, cols []int) *dataset.Table {
 	view := dataset.NewTable(s.table.Schema())
 	for _, group := range cl.Groups(1) {
-		if out, ok := s.viewRowFor(group, std, ov); ok {
+		if out, ok := s.viewRowFor(group, std, ov, cols); ok {
 			view.MustAppend(out)
 		}
 	}
 	return view
 }
 
-// viewRowFor consolidates one entity cluster into its view row — the
-// per-group core of buildView, exposed separately so the incremental
-// hypothesis pricer can rebuild exactly the rows a hypothesis perturbs.
-// ok is false when the group yields no row (vanished tuple).
-func (s *Session) viewRowFor(group []dataset.TupleID, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) ([]dataset.Value, bool) {
+// viewRowFor consolidates one entity cluster into its view row, filling
+// the columns in cols and leaving the rest null — the per-group core of
+// buildView, exposed separately so the incremental hypothesis pricer can
+// rebuild exactly the rows a hypothesis perturbs. ok is false when the
+// group yields no row (vanished tuple).
+func (s *Session) viewRowFor(group []dataset.TupleID, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay, cols []int) ([]dataset.Value, bool) {
+	if len(group) == 1 {
+		if _, ok := s.table.RowIndex(group[0]); !ok {
+			return nil, false
+		}
+	}
 	schema := s.table.Schema()
-	cell := func(id dataset.TupleID, c int, v dataset.Value) dataset.Value {
+	out := make([]dataset.Value, len(schema))
+	for c := range schema {
+		out[c] = dataset.Null(schema[c].Kind)
+	}
+	for _, c := range cols {
+		out[c] = s.resolveColumn(group, c, std, ov)
+	}
+	return out, true
+}
+
+// resolveColumn consolidates column c of one entity cluster: each
+// member's cell, overlaid by ov and standardized by std, and for a
+// cluster of several members the majority vote of resolve. A singleton
+// keeps its cell as is, null included.
+func (s *Session) resolveColumn(group []dataset.TupleID, c int, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) dataset.Value {
+	st := std[s.table.Schema()[c].Name]
+	cell := func(id dataset.TupleID, v dataset.Value) dataset.Value {
 		if ov != nil {
 			if pv, ok := ov.Patch(id, c); ok {
-				return pv
+				v = pv
 			}
 		}
-		return v
-	}
-	canonical := func(c int, v dataset.Value) dataset.Value {
-		name := schema[c].Name
-		st := std[name]
 		if st == nil {
 			return v
 		}
@@ -59,31 +77,17 @@ func (s *Session) viewRowFor(group []dataset.TupleID, std map[string]*goldenrec.
 		}
 		return dataset.Str(st.Canonical(txt))
 	}
-
 	if len(group) == 1 {
-		if _, ok := s.table.RowIndex(group[0]); !ok {
-			return nil, false
-		}
-		out := make([]dataset.Value, len(schema))
-		for c := range schema {
-			v, _ := s.table.GetByID(group[0], c)
-			out[c] = canonical(c, cell(group[0], c, v))
-		}
-		return out, true
+		v, _ := s.table.GetByID(group[0], c)
+		return cell(group[0], v)
 	}
-	out := make([]dataset.Value, len(schema))
-	for c := range schema {
-		var vals []dataset.Value
-		for _, id := range group {
-			v, ok := s.table.GetByID(id, c)
-			if !ok {
-				continue
-			}
-			vals = append(vals, canonical(c, cell(id, c, v)))
+	vals := make([]dataset.Value, 0, len(group))
+	for _, id := range group {
+		if v, ok := s.table.GetByID(id, c); ok {
+			vals = append(vals, cell(id, v))
 		}
-		out[c] = resolve(vals, schema[c].Kind)
 	}
-	return out, true
+	return resolve(vals, s.table.Schema()[c].Kind)
 }
 
 // resolve elects the consolidated value of a column within one cluster.
@@ -156,7 +160,7 @@ func (s *Session) CurrentVisAll() ([]*vis.Data, error) {
 	if out[len(out)-1] != nil {
 		return out, nil
 	}
-	view := s.buildView(s.clusters, s.std, nil)
+	view := s.buildView(s.clusters, s.std, nil, s.viewCols)
 	for v, q := range s.queries {
 		d, err := q.Execute(view)
 		if err != nil {
@@ -173,7 +177,11 @@ func (s *Session) CurrentVisAll() ([]*vis.Data, error) {
 // materialized view / suggestions for a DBA rather than destructive
 // updates — this accessor is that view.
 func (s *Session) CleanedView() *dataset.Table {
-	return s.buildView(s.clusters, s.std, nil)
+	all := make([]int, len(s.table.Schema()))
+	for c := range all {
+		all[c] = c
+	}
+	return s.buildView(s.clusters, s.std, nil, all)
 }
 
 // hypotheticalState derives the cleaned-relation inputs — clusters,
@@ -234,7 +242,7 @@ func (s *Session) hypotheticalCharts(h benefit.Hypothesis) []*vis.Data {
 	if !ok {
 		return nil
 	}
-	view := s.buildView(cl, std, ov)
+	view := s.buildView(cl, std, ov, s.viewCols)
 	out := make([]*vis.Data, len(s.queries))
 	for v, q := range s.queries {
 		if d, err := q.Execute(view); err == nil {

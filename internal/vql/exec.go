@@ -3,6 +3,7 @@ package vql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,10 +171,7 @@ func (q *Query) Execute(t *dataset.Table) (*vis.Data, error) {
 		}
 	}
 
-	q.sortPoints(data)
-	if q.Limit > 0 && len(data.Points) > q.Limit {
-		data.Points = data.Points[:q.Limit]
-	}
+	data.Points = q.sortAndLimit(data.Points)
 	return data, nil
 }
 
@@ -242,40 +240,64 @@ func matches(v dataset.Value, p Predicate) bool {
 	return false
 }
 
-func (q *Query) sortPoints(d *vis.Data) {
-	if q.Sort == AxisNone {
-		return
+// sortAndLimit applies the SORT and LIMIT clauses to the chart points.
+// The stable sort keeps tied points in their pre-sort order (first
+// appearance for GROUP, bin order for BIN), which Incremental's top-K
+// merge relies on.
+func (q *Query) sortAndLimit(pts []vis.Point) []vis.Point {
+	if q.Sort != AxisNone {
+		slices.SortStableFunc(pts, q.cmpPoints)
 	}
-	cmp := func(pa, pb vis.Point) int {
-		if q.Sort == AxisY {
-			switch {
-			case pa.Y < pb.Y:
-				return -1
-			case pa.Y > pb.Y:
-				return 1
-			}
-			return 0
-		}
-		if pa.HasX && pb.HasX {
-			switch {
-			case pa.X < pb.X:
-				return -1
-			case pa.X > pb.X:
-				return 1
-			}
-			return 0
-		}
+	if q.Limit > 0 && len(pts) > q.Limit {
+		pts = pts[:q.Limit]
+	}
+	return pts
+}
+
+// cmpPoints is the SORT clause's three-way comparator: the sort axis in
+// the requested direction, then the label ascending as a deterministic
+// tiebreak independent of sort direction. It compares floats with < and
+// >, so a NaN key compares equal to everything and the order is not
+// total (see Query.totalKey). Without SORT every pair compares equal.
+func (q *Query) cmpPoints(pa, pb vis.Point) int {
+	var c int
+	switch {
+	case q.Sort == AxisNone:
+		return 0
+	case q.Sort == AxisY:
+		c = cmpFloat(pa.Y, pb.Y)
+	case pa.HasX && pb.HasX:
+		c = cmpFloat(pa.X, pb.X)
+	default:
+		c = strings.Compare(pa.Label, pb.Label)
+	}
+	switch {
+	case c == 0:
 		return strings.Compare(pa.Label, pb.Label)
+	case q.SortDesc:
+		return -c
 	}
-	sort.SliceStable(d.Points, func(a, b int) bool {
-		c := cmp(d.Points[a], d.Points[b])
-		if c == 0 {
-			// Deterministic tiebreak independent of sort direction.
-			return d.Points[a].Label < d.Points[b].Label
-		}
-		if q.SortDesc {
-			return c > 0
-		}
-		return c < 0
-	})
+	return c
+}
+
+// totalKey reports whether p's sort key is comparable: false for a NaN
+// on the sort axis, which makes cmpPoints intransitive.
+func (q *Query) totalKey(p vis.Point) bool {
+	switch {
+	case q.Sort == AxisY:
+		return !math.IsNaN(p.Y)
+	case q.Sort == AxisX && p.HasX:
+		return !math.IsNaN(p.X)
+	}
+	return true
+}
+
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }

@@ -1,9 +1,10 @@
 package vql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"visclean/internal/dataset"
 	"visclean/internal/vis"
@@ -16,8 +17,9 @@ import (
 // bit-identity: Eval must return exactly the chart Execute would produce
 // over the equivalent full row set — same points, same float bits, same
 // order. Everything below is therefore arranged so that every float
-// accumulation (per-group aggregation, first-appearance ordering,
-// sorting) happens through the same code in the same order as Execute.
+// accumulation (per-group aggregation) happens through the same code in
+// the same order as Execute, and every point lands where Execute's
+// stable sort would put it.
 
 // IncRow is one logical row of the view the incremental executor runs
 // over. Rank is the row's stable order key: rows execute in ascending
@@ -49,28 +51,61 @@ type contribRef struct {
 
 // keyState is the materialized state of one group or bin.
 type keyState struct {
-	contribs  []contribRef // ascending rank = execution order
-	firstRank int64        // rank of the first contributor (appearance order)
-	bin       int64
-	y         float64
-	ok        bool
+	contribs []contribRef // ascending rank = execution order
+	bin      int64
+	label    string // group label (TransformGroup)
+	ok       bool   // the state produces a chart point
+	mark     mark   // that point, valid when ok
 }
 
-func (k *keyState) fold(agg Agg) {
+// mark is one keyed chart point with its pre-sort position: the
+// state's first contributing rank (GROUP) or its bin id (BIN). Execute
+// emits keyed points in pre-sort order and then sorts them stably, so
+// its final order is the SORT comparator with ties broken by pre — a
+// total order whenever no sort key is NaN.
+type mark struct {
+	pt  vis.Point
+	pre int64
+}
+
+// fold re-aggregates a state over its contributors in rank order and
+// reports whether it produces a chart point.
+func (inc *Incremental) fold(k *keyState) bool {
 	var st aggState
 	for _, c := range k.contribs {
 		st.add(c.y)
 	}
-	k.y, k.ok = st.result(agg)
-	if len(k.contribs) > 0 {
-		k.firstRank = k.contribs[0].rank
+	y, ok := st.result(inc.q.Agg)
+	k.ok = ok && len(k.contribs) > 0
+	if !k.ok {
+		return false
 	}
+	if inc.q.Transform == TransformGroup {
+		k.mark = mark{pt: vis.Point{Label: k.label, Y: y}, pre: k.contribs[0].rank}
+	} else {
+		lo := float64(k.bin) * inc.q.BinInterval
+		k.mark = mark{pt: vis.Point{Label: binLabel(lo, lo+inc.q.BinInterval), X: lo, HasX: true, Y: y}, pre: k.bin}
+	}
+	return true
 }
 
+// cmpMarks is Execute's final keyed chart order: the SORT comparator,
+// then the pre-sort position that a stable sort keeps ties in.
+func (q *Query) cmpMarks(a, b mark) int {
+	if c := q.cmpPoints(a.pt, b.pt); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pre, b.pre)
+}
+
+func cmpPre(a, b mark) int { return cmp.Compare(a.pre, b.pre) }
+
 // Incremental evaluates one query over a registered base row set plus
-// per-call deltas. Construction costs one full pass; Eval costs
-// O(delta + groups). An Incremental is immutable after construction, so
-// concurrent Eval calls are safe.
+// per-call deltas. Construction costs one full pass and one sort; a
+// grouped or binned Eval costs O(delta + K + k log k) for k dirty
+// groups and K emitted points (LIMIT, or every group without one). An
+// Incremental is immutable after construction, so concurrent
+// Eval calls are safe.
 type Incremental struct {
 	q     *Query
 	xi    int
@@ -82,13 +117,17 @@ type Incremental struct {
 
 	keys     map[string]*keyState // TransformGroup
 	bins     map[int64]*keyState  // TransformBin
-	keyOrder []*keyState          // appearance order (group) / bin order (bin)
-	labelOf  map[*keyState]string // group label per state
+	keyOrder []*keyState          // pre-sort order: appearance (group) / bin order (bin)
+	// chart holds the base states that produce a point, in final chart
+	// order. total is false when a base sort key is NaN; every keyed
+	// Eval then takes the full-sort fallback.
+	chart []*keyState
+	total bool
 
 	// basePts is the sorted+limited base chart, computed once at
 	// construction through the general Eval path. The empty-delta fast
 	// path (Base, and every hypothesis-decline fallback) copies it
-	// instead of re-walking keyOrder and re-folding groups.
+	// instead of merging.
 	basePts  []vis.Point
 	baseDone bool
 }
@@ -123,22 +162,17 @@ func (q *Query) NewIncremental(schema dataset.Schema, rows []IncRow) (*Increment
 	switch q.Transform {
 	case TransformGroup:
 		inc.keys = make(map[string]*keyState)
-		inc.labelOf = make(map[*keyState]string)
 		for _, c := range inc.rows {
 			if !c.routed {
 				continue
 			}
 			st, exists := inc.keys[c.key]
 			if !exists {
-				st = &keyState{}
+				st = &keyState{label: c.key}
 				inc.keys[c.key] = st
-				inc.labelOf[st] = c.key
 				inc.keyOrder = append(inc.keyOrder, st)
 			}
 			st.contribs = append(st.contribs, contribRef{rank: c.rank, y: c.y})
-		}
-		for _, st := range inc.keyOrder {
-			st.fold(q.Agg)
 		}
 	case TransformBin:
 		inc.bins = make(map[int64]*keyState)
@@ -154,14 +188,19 @@ func (q *Query) NewIncremental(schema dataset.Schema, rows []IncRow) (*Increment
 			}
 			st.contribs = append(st.contribs, contribRef{rank: c.rank, y: c.y})
 		}
-		sort.Slice(inc.keyOrder, func(a, b int) bool { return inc.keyOrder[a].bin < inc.keyOrder[b].bin })
-		for _, st := range inc.keyOrder {
-			st.fold(q.Agg)
+		slices.SortFunc(inc.keyOrder, func(a, b *keyState) int { return cmp.Compare(a.bin, b.bin) })
+	}
+	inc.total = true
+	for _, st := range inc.keyOrder {
+		if inc.fold(st) {
+			inc.chart = append(inc.chart, st)
+			inc.total = inc.total && q.totalKey(st.mark.pt)
 		}
 	}
+	slices.SortFunc(inc.chart, func(a, b *keyState) int { return q.cmpMarks(a.mark, b.mark) })
 	// Materialize the base chart through the general path (baseDone is
-	// still false here, so Eval takes the full walk), then arm the
-	// empty-delta shortcut.
+	// still false here, so Eval merges), then arm the empty-delta
+	// shortcut.
 	inc.basePts = inc.Eval(nil, nil).Points
 	inc.baseDone = true
 	return inc, nil
@@ -219,8 +258,8 @@ func (inc *Incremental) Eval(removed []int64, added []IncRow) *vis.Data {
 
 	// Empty delta: the answer is the precomputed base chart. Copying the
 	// point slice keeps the result as independent as the general path's
-	// (callers may mutate it) while skipping the dirty/folded/live maps
-	// and the keyOrder walk entirely.
+	// (callers may mutate it) while skipping the dirty map and the
+	// merge entirely.
 	if len(removed) == 0 && len(added) == 0 && inc.baseDone {
 		if len(inc.basePts) > 0 {
 			data.Points = append([]vis.Point(nil), inc.basePts...)
@@ -228,16 +267,10 @@ func (inc *Incremental) Eval(removed []int64, added []IncRow) *vis.Data {
 		return data
 	}
 
-	switch inc.q.Transform {
-	case TransformNone:
-		data.Points = inc.evalNone(removed, added)
-	case TransformGroup, TransformBin:
+	if inc.q.Transform == TransformNone {
+		data.Points = inc.q.sortAndLimit(inc.evalNone(removed, added))
+	} else {
 		data.Points = inc.evalKeyed(removed, added)
-	}
-
-	inc.q.sortPoints(data)
-	if inc.q.Limit > 0 && len(data.Points) > inc.q.Limit {
-		data.Points = data.Points[:inc.q.Limit]
 	}
 	return data
 }
@@ -284,132 +317,121 @@ func (inc *Incremental) evalNone(removed []int64, added []IncRow) []vis.Point {
 	return pts
 }
 
-// evalKeyed assembles the grouped/binned point list: clean groups reuse
-// their base aggregate, dirty groups re-fold their contributor list in
-// rank order (the same accumulation order Execute uses), and the output
-// order reproduces Execute's (first-appearance order for GROUP, bin
-// order for BIN).
+// evalKeyed assembles the grouped/binned chart: clean states keep
+// their base point, dirty states re-fold their contributor list in rank
+// order (the same accumulation order Execute uses), and the k points
+// they now produce are sorted and merged into the base chart order,
+// stopping at LIMIT — O(LIMIT + k log k) rather than a sort of every
+// point. When a sort key is NaN the order is not total, and the points
+// are instead assembled in Execute's pre-sort order and fully sorted.
 func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) []vis.Point {
-	grouped := inc.q.Transform == TransformGroup
-
-	// Identify dirty states and collect added contributions per state.
 	rm := removedSet(removed)
+	// dirty maps each touched base state to its added contributions;
+	// born lists the states this delta creates, in appearance order.
 	dirty := make(map[*keyState][]contribRef)
-	markDirty := func(st *keyState) {
-		if _, seen := dirty[st]; !seen {
-			dirty[st] = nil
-		}
-	}
-	for r := range rm {
+	for _, r := range removed {
 		pos, ok := inc.rankPos[r]
 		if !ok {
 			continue
 		}
 		if c := &inc.rows[pos]; c.routed {
-			markDirty(inc.stateOf(c))
+			st := inc.stateOf(c)
+			if _, seen := dirty[st]; !seen {
+				dirty[st] = nil
+			}
 		}
 	}
-	// newStates tracks groups born in this delta, in appearance order.
-	var newStates []*keyState
-	newByKey := make(map[string]*keyState)
-	newByBin := make(map[int64]*keyState)
-	newLabels := make(map[*keyState]string)
+	type bornKey struct {
+		key string
+		bin int64
+	}
+	var born []*keyState
+	var bornBy map[bornKey]*keyState
 	for _, row := range added {
 		c := inc.contribution(row)
 		if !c.routed {
 			continue
 		}
-		st := inc.stateOf(&c)
-		if st == nil {
-			if grouped {
-				st = newByKey[c.key]
-			} else {
-				st = newByBin[c.bin]
-			}
-			if st == nil {
-				st = &keyState{bin: c.bin}
-				if grouped {
-					newByKey[c.key] = st
-					newLabels[st] = c.key
-				} else {
-					newByBin[c.bin] = st
-				}
-				newStates = append(newStates, st)
-				markDirty(st)
-			}
-		} else {
-			markDirty(st)
+		ref := contribRef{rank: c.rank, y: c.y}
+		if st := inc.stateOf(&c); st != nil {
+			dirty[st] = append(dirty[st], ref)
+			continue
 		}
-		dirty[st] = append(dirty[st], contribRef{rank: c.rank, y: c.y})
+		bk := bornKey{key: c.key, bin: c.bin}
+		st := bornBy[bk]
+		if st == nil {
+			if bornBy == nil {
+				bornBy = make(map[bornKey]*keyState)
+			}
+			st = &keyState{label: c.key, bin: c.bin}
+			bornBy[bk] = st
+			born = append(born, st)
+		}
+		st.contribs = append(st.contribs, ref)
 	}
 
 	// Re-fold each dirty state over its surviving + added contributors,
-	// merged in ascending rank order.
-	folded := make(map[*keyState]*keyState, len(dirty))
+	// merged in ascending rank order, and collect the points produced.
+	total := inc.total
+	marks := make([]mark, 0, len(dirty)+len(born))
 	for st, adds := range dirty {
-		nf := &keyState{bin: st.bin}
-		nf.contribs = mergeContribs(st.contribs, adds, rm)
-		nf.fold(inc.q.Agg)
-		folded[st] = nf
+		nf := keyState{label: st.label, bin: st.bin, contribs: mergeContribs(st.contribs, adds, rm)}
+		if inc.fold(&nf) {
+			marks = append(marks, nf.mark)
+			total = total && inc.q.totalKey(nf.mark.pt)
+		}
+	}
+	for _, st := range born {
+		if inc.fold(st) {
+			marks = append(marks, st.mark)
+			total = total && inc.q.totalKey(st.mark.pt)
+		}
 	}
 
-	// Output order: clean states keep their base slot; dirty states
-	// reorder by their recomputed first contributor. Execute orders
-	// groups by first appearance (= min contributing rank) and bins by
-	// bin id, so a single merge of the two sorted sequences reproduces
-	// it.
-	order := func(st *keyState) int64 {
-		if grouped {
-			return st.firstRank
-		}
-		return st.bin
+	if total {
+		slices.SortFunc(marks, inc.q.cmpMarks)
+		return mergeMarks(inc.chart, dirty, marks, inc.q.cmpMarks, inc.q.Limit)
 	}
-	var live []*keyState
-	for _, st := range inc.keyOrder {
-		nf, isDirty := folded[st]
-		if !isDirty {
-			live = append(live, st)
-			continue
-		}
-		if len(nf.contribs) > 0 {
-			if lbl, ok := inc.labelOf[st]; ok {
-				if newLabels == nil {
-					newLabels = map[*keyState]string{}
-				}
-				newLabels[nf] = lbl
-			}
-			live = append(live, nf)
-		}
-	}
-	for _, st := range newStates {
-		nf := folded[st]
-		if len(nf.contribs) == 0 {
-			continue
-		}
-		if lbl, ok := newLabels[st]; ok {
-			newLabels[nf] = lbl
-		}
-		live = append(live, nf)
-	}
-	sort.SliceStable(live, func(a, b int) bool { return order(live[a]) < order(live[b]) })
+	slices.SortFunc(marks, cmpPre)
+	return inc.q.sortAndLimit(mergeMarks(inc.keyOrder, dirty, marks, cmpPre, 0))
+}
 
-	var pts []vis.Point
-	for _, st := range live {
-		if !st.ok {
+// mergeMarks merges the clean states of base (those producing a point
+// and not in dirty) with the sorted replacement marks, both in cmp
+// order, and stops after limit points (limit ≤ 0: no limit).
+func mergeMarks(base []*keyState, dirty map[*keyState][]contribRef, marks []mark, cmp func(a, b mark) int, limit int) []vis.Point {
+	n := len(base) + len(marks)
+	if limit > 0 && n > limit {
+		n = limit
+	}
+	if n == 0 {
+		return nil
+	}
+	clean := func(st *keyState) bool {
+		_, isDirty := dirty[st]
+		return st.ok && !isDirty
+	}
+	out := make([]vis.Point, 0, n)
+	i, j := 0, 0
+	for len(out) < n {
+		for i < len(base) && !clean(base[i]) {
+			i++
+		}
+		if i < len(base) && (j == len(marks) || cmp(base[i].mark, marks[j]) < 0) {
+			out = append(out, base[i].mark.pt)
+			i++
 			continue
 		}
-		if grouped {
-			lbl, ok := inc.labelOf[st]
-			if !ok {
-				lbl = newLabels[st]
-			}
-			pts = append(pts, vis.Point{Label: lbl, Y: st.y})
-		} else {
-			lo := float64(st.bin) * inc.q.BinInterval
-			pts = append(pts, vis.Point{Label: binLabel(lo, lo+inc.q.BinInterval), X: lo, HasX: true, Y: st.y})
+		if j == len(marks) {
+			break
 		}
+		out = append(out, marks[j].pt)
+		j++
 	}
-	return pts
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // stateOf returns the base state a routed contribution belongs to, or

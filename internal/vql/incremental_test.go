@@ -1,7 +1,11 @@
 package vql
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"visclean/internal/dataset"
@@ -50,15 +54,19 @@ func applyDelta(t *testing.T, base []IncRow, removed []int64, added []IncRow) *d
 }
 
 // assertSameData requires bit-exact equality — the incremental
-// executor's whole contract.
+// executor's whole contract. Floats compare by their bits, so a NaN
+// equals the same NaN and −0 differs from +0.
 func assertSameData(t *testing.T, label string, got, want *vis.Data) {
 	t.Helper()
 	if len(got.Points) != len(want.Points) {
 		t.Fatalf("%s: point counts differ: got %d want %d\ngot  %+v\nwant %+v",
 			label, len(got.Points), len(want.Points), got.Points, want.Points)
 	}
+	bits := func(p vis.Point) [4]any {
+		return [4]any{p.Label, p.HasX, math.Float64bits(p.X), math.Float64bits(p.Y)}
+	}
 	for i := range got.Points {
-		if got.Points[i] != want.Points[i] {
+		if bits(got.Points[i]) != bits(want.Points[i]) {
 			t.Fatalf("%s: point %d differs: got %+v want %+v", label, i, got.Points[i], want.Points[i])
 		}
 	}
@@ -199,10 +207,9 @@ func TestIncrementalBaseAllocs(t *testing.T) {
 	}
 }
 
-// TestIncrementalLimitTopKChurn targets the Limit+sortPoints seam the
-// multi-view pricer leans on: deltas that push a dirty group out of the
-// top-K, pull one in from below the cut, or reshuffle a tie exactly at
-// the boundary. Every case is checked bit-identical against Execute
+// TestIncrementalLimitTopKChurn targets the LIMIT boundary of the top-K
+// merge: deltas that push a dirty group out of the top-K, pull one in
+// from below the cut, or reshuffle a tie exactly at the boundary. Every case is checked bit-identical against Execute
 // over the equivalent table.
 func TestIncrementalLimitTopKChurn(t *testing.T) {
 	num := dataset.Num
@@ -256,5 +263,150 @@ func TestIncrementalRejectsUnsortedRanks(t *testing.T) {
 	}
 	if _, err := q.NewIncremental(incSchema, rows); err == nil {
 		t.Fatal("duplicate ranks accepted")
+	}
+}
+
+// TestIncrementalTopKMergeSweep sweeps random deltas through Eval's
+// top-K merge and compares every chart bit for bit with Execute over
+// the equivalent table. Y values come from a small set so points tie
+// and fall back to the label order; ±Inf cells make some SUM/AVG keys
+// NaN, the one case where the chart order is not total and Eval must
+// fully sort instead. The sweep then checks that it exercised each case
+// the merge has to get right.
+func TestIncrementalTopKMergeSweep(t *testing.T) {
+	queries := []string{
+		`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 1`,
+		`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 3`,
+		`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue SORT Y BY ASC LIMIT 2`,
+		`VISUALIZE bar SELECT Venue, AVG(Citations) FROM D TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 3`,
+		`VISUALIZE bar SELECT Venue, COUNT(Citations) FROM D TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 2`,
+		`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue SORT X BY ASC LIMIT 3`,
+		`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue SORT X BY DESC LIMIT 2`,
+		`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue LIMIT 2`,
+		`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue WHERE Year >= 2012 SORT Y BY DESC LIMIT 2`,
+		`VISUALIZE bar SELECT Year, SUM(Citations) FROM D TRANSFORM BIN Year BY INTERVAL 2`,
+		`VISUALIZE bar SELECT Year, AVG(Citations) FROM D TRANSFORM BIN Year BY INTERVAL 2 SORT Y BY DESC`,
+		`VISUALIZE bar SELECT Year, SUM(Citations) FROM D TRANSFORM BIN Year BY INTERVAL 2 SORT X BY DESC LIMIT 2`,
+	}
+	rng := rand.New(rand.NewSource(14))
+	venues := []string{"SIGMOD", "VLDB", "ICDE", "KDD", "PODS", "CIDR"} // the last two only arrive in deltas
+	cell := func() dataset.Value {
+		switch r := rng.Float64(); {
+		case r < 0.08:
+			return dataset.Null(dataset.Float)
+		case r < 0.12:
+			return dataset.Num(math.Inf(1))
+		case r < 0.16:
+			return dataset.Num(math.Inf(-1))
+		default:
+			return dataset.Num([]float64{1, 2, 3, 5}[rng.Intn(4)])
+		}
+	}
+	row := func(rank int64, venues []string) IncRow {
+		return incRow(rank, venues[rng.Intn(len(venues))], dataset.Num(float64(2010+rng.Intn(6))), cell())
+	}
+
+	var ties, entered, left, born, emptied, nan, fellBack int
+	labels := func(d *vis.Data) map[string]bool {
+		out := map[string]bool{}
+		for _, p := range d.Points {
+			out[p.Label] = true
+		}
+		return out
+	}
+	for trial := 0; trial < 300; trial++ {
+		var base []IncRow
+		rank := int64(0)
+		for n := 1 + rng.Intn(12); len(base) < n; {
+			rank += 1 + int64(rng.Intn(3))
+			base = append(base, row(rank, venues[:4]))
+		}
+		taken := map[int64]bool{}
+		for _, r := range base {
+			taken[r.Rank] = true
+		}
+		var removed []int64
+		var free []int64 // ranks an added row may take: removed or unused
+		for _, r := range base {
+			if rng.Float64() < 0.3 {
+				removed = append(removed, r.Rank)
+				free = append(free, r.Rank)
+			}
+		}
+		for r := int64(-2); r <= rank+3; r++ {
+			if !taken[r] {
+				free = append(free, r)
+			}
+		}
+		rng.Shuffle(len(free), func(a, b int) { free[a], free[b] = free[b], free[a] })
+		var added []IncRow
+		for _, r := range free[:rng.Intn(5)] {
+			added = append(added, row(r, venues))
+		}
+		slices.SortFunc(added, func(a, b IncRow) int { return cmp.Compare(a.Rank, b.Rank) })
+
+		for _, src := range queries {
+			q := MustParse(src)
+			inc, err := q.NewIncremental(incSchema, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := inc.Eval(removed, added)
+			after := applyDelta(t, base, removed, added)
+			want, err := q.Execute(after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameData(t, fmt.Sprintf("trial %d %s removed=%v added=%v", trial, src, removed, added), got, want)
+
+			// Coverage: compare against the unlimited charts before and
+			// after the delta.
+			unlimited := *q
+			unlimited.Limit = 0
+			allBefore, _ := unlimited.Execute(applyDelta(t, base, nil, nil))
+			allAfter, _ := unlimited.Execute(after)
+			before, inAfter, inAllBefore, inAllAfter := labels(inc.Base()), labels(want), labels(allBefore), labels(allAfter)
+			for l := range inAfter {
+				if !before[l] && inAllBefore[l] {
+					entered++
+				}
+			}
+			for l := range before {
+				if !inAfter[l] && inAllAfter[l] {
+					left++
+				}
+			}
+			for l := range inAllAfter {
+				if !inAllBefore[l] {
+					born++
+				}
+			}
+			for l := range inAllBefore {
+				if !inAllAfter[l] {
+					emptied++
+				}
+			}
+			isNaN := false
+			for i, p := range allAfter.Points {
+				isNaN = isNaN || math.IsNaN(p.Y)
+				if i > 0 && q.Sort == AxisY && p.Y == allAfter.Points[i-1].Y {
+					ties++
+				}
+			}
+			if isNaN {
+				nan++
+				if q.Sort == AxisY {
+					fellBack++
+				}
+			}
+		}
+	}
+	for name, n := range map[string]int{
+		"Y ties": ties, "groups entering the top-K": entered, "groups leaving the top-K": left,
+		"new groups": born, "emptied groups": emptied, "NaN keys": nan, "NaN-key fallbacks": fellBack,
+	} {
+		if n == 0 {
+			t.Errorf("the sweep never exercised %s", name)
+		}
 	}
 }

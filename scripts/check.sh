@@ -3,8 +3,9 @@
 # suite with the race detector on, the determinism + incremental
 # equivalence suites (same seed, Workers=1 vs Workers=8, delta pricing
 # vs full rebuild, and incremental detection vs full detect must all be
-# byte-identical; the multi-view fences and the single-view golden
-# digests run uncached beside them), and a one-shot benchmark smoke so
+# byte-identical; the multi-view fences, the single-view golden
+# digests and the vql.Incremental-vs-Execute suites run uncached beside
+# them), and a one-shot benchmark smoke so
 # the bench harness cannot rot. The smoke also guards the incremental
 # engines' reason to exist: if BenchmarkAnnotate's Workers=1 ns/op or
 # the Incremental iteration-phase detect_µs regresses to more than 2x
@@ -50,8 +51,8 @@ go vet ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "== determinism, incremental equivalence, multi-view and single-view golden suites (-race)"
-go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence|TestMultiView|TestSingleViewGolden' ./internal/pipeline/
+echo "== determinism, incremental equivalence, top-K merge, multi-view and single-view golden suites (-race)"
+go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence|TestMultiView|TestSingleViewGolden|TestExecuteMatchesNaiveReference|TestBinMatchesNaiveReference' ./internal/pipeline/ ./internal/vql/
 
 echo "== chaos suite: fault-injection kill-restart (-race, short mode)"
 go test -race -short -count=1 -run 'TestChaos' ./internal/service/
